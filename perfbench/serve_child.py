@@ -6,8 +6,10 @@ line on stdin and answers each with one JSON line on stdout:
 
 * ``setup`` — build the tiny model and a default ``ModelServer`` (eager
   decode, tiled domains), register the domains stored in the given ``.npz``,
-  encode every tile once, start the HTTP gateway; answers ``port``.  A new
-  ``setup`` replaces the previous server.
+  encode every tile once, start the HTTP gateway; answers ``port``.
+* ``teardown`` — stop the gateway and the server.  Stopping the gateway
+  waits for its accept loop's next poll (up to half a second), so the
+  benchmark sends this before it starts timing the next set-up.
 * ``mark`` — CPU seconds, peak RSS and the program's counters.
 * ``report`` — span self times, counts and counter deltas since a mark.
 * ``stop`` — shut down and exit.
@@ -51,7 +53,6 @@ class Host:
         kind = command["cmd"]
         if kind == "setup":
             self.stop_server()
-            gc.collect()  # the previous server's leftovers must not raise this one's peak
             model = workloads._model(command["model_seed"])
             self.server = ModelServer(model, tile_shape=workloads.TILE)
             with np.load(command["domains"]) as stored:
@@ -73,6 +74,10 @@ class Host:
             return {"seconds": seconds, "counts": counts,
                     "delta": workloads.snapshot_delta(before, after),
                     "events": self.tracer.chrome_events(pid=1)}
+        if kind == "teardown":
+            self.stop_server()
+            gc.collect()  # this server's leftovers must not raise the next one's peak
+            return {"stopped": True}
         if kind == "stop":
             self.stop_server()
             return {"stopped": True}

@@ -241,6 +241,8 @@ class ServeHttp(Workload):
         if self.conn is not None:
             self.conn.close()
             self.conn = None
+        if self.child.poll() is None:
+            self._call({"cmd": "teardown"})
 
     def close(self):
         if self.child.poll() is None:
@@ -678,8 +680,10 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path,
                      "op_mean_ms": 1e3 * statistics.fmean(workload.latencies)}
             events = list(getattr(workload, "child_events", []))
         finally:
-            workload.teardown()
-            workload.close()
+            try:
+                workload.teardown()
+            finally:
+                workload.close()
     finally:
         if tracer is not None:
             tracer.restore()
